@@ -282,7 +282,9 @@ func sortPadded(env *extmem.Env, a extmem.Array, p SortParams, depth int) (extme
 	// arrays — but at small M/B the bucket count q+1 cannot outpace loose
 	// compaction's 5× padding, so without it the physical recursion sizes
 	// grow geometrically. Tightening costs a few passes per level and
-	// restores the strict n/(q+1) shrink; DESIGN.md records the deviation.
+	// restores the strict n/(q+1) shrink. This is a deliberate deviation
+	// from the paper's step 6: each recursive call gets a tight array of
+	// exactly bucketCap+2 blocks instead of the loose-compacted one.
 	sub := make([]extmem.Array, q+1)
 	subOK := make([]bool, q+1)
 	outLen := 0

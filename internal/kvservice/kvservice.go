@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -529,22 +530,13 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 func statusOf(err error) int {
 	msg := err.Error()
 	switch {
-	case contains(msg, "out of range"), contains(msg, "invalid namespace"), contains(msg, "session limit"):
+	case strings.Contains(msg, "out of range"), strings.Contains(msg, "invalid namespace"), strings.Contains(msg, "session limit"):
 		return http.StatusBadRequest
-	case contains(msg, "slot capacity"):
+	case strings.Contains(msg, "slot capacity"):
 		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // handleMetrics exports the fleet counters in Prometheus text format.

@@ -126,6 +126,25 @@ func (g bucketGeom) sampleBlocks(f, m int) int {
 	return max(1, min(f*g.zb, m/(2*g.b)))
 }
 
+// cargoOrder is the total order BucketSort uses for splitters, range
+// indices and leaf sorts: occupied first, then less, then the unique scan
+// index stored in CellDest — total even when every key is equal, so
+// splitters never skew a range.
+func cargoOrder(less Less) Less {
+	return func(x, y extmem.Element) bool {
+		if xo, yo := x.Occupied(), y.Occupied(); xo != yo {
+			return xo
+		}
+		if less(x, y) {
+			return true
+		}
+		if less(y, x) {
+			return false
+		}
+		return x.CellDest() < y.CellDest()
+	}
+}
+
 // BucketSort sorts the occupied elements of a in place with padded
 // semantics (occupied ascend by less with scan-index tie-breaks, empties
 // sink). It may fail with ErrBucketOverflow — a declared, public failure
@@ -153,21 +172,7 @@ func BucketSort(env *extmem.Env, a extmem.Array, less Less) error {
 	mark := env.D.Mark()
 	defer env.D.Release(mark)
 
-	// ltCargo is the total order used for splitters, range indices and leaf
-	// sorts: occupied first, then less, then the unique scan index — total
-	// even when every key is equal, so splitters never skew a range.
-	ltCargo := func(x, y extmem.Element) bool {
-		if xo, yo := x.Occupied(), y.Occupied(); xo != yo {
-			return xo
-		}
-		if less(x, y) {
-			return true
-		}
-		if less(y, x) {
-			return false
-		}
-		return x.CellDest() < y.CellDest()
-	}
+	ltCargo := cargoOrder(less)
 
 	w := env.D.Alloc(g.k1 * g.zb)
 	sps := env.Obs.Start("seed")

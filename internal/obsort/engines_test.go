@@ -59,6 +59,44 @@ func TestZigzagRespectsCacheBound(t *testing.T) {
 	}
 }
 
+// Zigzag's private footprint is exactly 3M/4 — two runs of merge-split
+// buffer plus one run of merge scratch — on top of whatever the caller
+// holds, under a strict cache that panics on overdraw. Checked at the
+// minimum geometry M = 4B (one-block runs) and at 2^16 elements with
+// B = 8, M = 4096.
+func TestZigzagCacheBudget(t *testing.T) {
+	r := rand.New(rand.NewPCG(29, 30))
+	for _, g := range []struct{ b, m, nBlocks, held int }{
+		{4, 16, 9, 0},
+		{4, 16, 9, 4},
+		{8, 4096, 8192, 0},
+		{8, 4096, 8192, 1024},
+	} {
+		env := extmem.NewEnv(g.nBlocks, g.b, g.m, 3)
+		env.Cache = extmem.NewCache(g.m, true)
+		a := env.D.Alloc(g.nBlocks)
+		keys := genKeys(r, g.nBlocks*g.b, "rand")
+		fillArray(env, a, keys)
+		held := env.Cache.Buf(g.held)
+		env.Cache.ResetHighWater()
+		Zigzag(env, a, ByKey)
+		hw := env.Cache.HighWater()
+		if hw > g.m {
+			t.Fatalf("b=%d m=%d held=%d: high water %d > M", g.b, g.m, g.held, hw)
+		}
+		if hw != g.held+3*g.m/4 {
+			t.Fatalf("b=%d m=%d held=%d: high water %d, want held + 3M/4 = %d", g.b, g.m, g.held, hw, g.held+3*g.m/4)
+		}
+		env.Cache.Free(held)
+		if used := env.Cache.Used(); used != 0 {
+			t.Fatalf("b=%d m=%d: %d cache elements still checked out", g.b, g.m, used)
+		}
+		if got := checkSortedPadded(t, readAll(a)); !sameMultiset(got, keys) {
+			t.Fatalf("b=%d m=%d: multiset changed", g.b, g.m)
+		}
+	}
+}
+
 func TestZigzagOblivious(t *testing.T) {
 	r := rand.New(rand.NewPCG(27, 27))
 	run := func(keys []uint64) trace.Summary {

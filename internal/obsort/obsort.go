@@ -17,7 +17,7 @@ package obsort
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"oblivext/internal/extmem"
 	"oblivext/internal/par"
@@ -59,8 +59,41 @@ type Sorter func(env *extmem.Env, a extmem.Array, less Less)
 // InCache sorts a private buffer. Computation inside Alice's cache is
 // invisible to the adversary, so no circuit is needed; this is the base
 // case every external algorithm bottoms out in.
+//
+// The three-way adapter asks less both ways, so it is a valid comparison
+// for any strict weak order, not only a total one.
 func InCache(buf []extmem.Element, less Less) {
-	sort.SliceStable(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
+	slices.SortStableFunc(buf, func(x, y extmem.Element) int {
+		if less(x, y) {
+			return -1
+		}
+		if less(y, x) {
+			return 1
+		}
+		return 0
+	})
+}
+
+// mergeRuns stably merges the sorted runs buf[:mid] and buf[mid:] in place,
+// ties to the low run, so the result equals InCache on buf. The low run is
+// first copied into scratch, which must hold at least mid elements; the
+// merge allocates nothing.
+func mergeRuns(buf []extmem.Element, mid int, scratch []extmem.Element, less Less) {
+	lo := scratch[:mid]
+	copy(lo, buf[:mid])
+	i, j, k := 0, mid, 0
+	for i < len(lo) && j < len(buf) {
+		if less(buf[j], lo[i]) {
+			buf[k] = buf[j]
+			j++
+		} else {
+			buf[k] = lo[i]
+			i++
+		}
+		k++
+	}
+	// Whatever is left of the high run is already in place.
+	copy(buf[k:], lo[i:])
 }
 
 // Bitonic sorts the array element-wise with a data-oblivious external

@@ -1,8 +1,9 @@
 package obsort
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"oblivext/internal/extmem"
@@ -82,8 +83,9 @@ func Pick(nBlocks, b, m int, backend string) string {
 			cands = append(cands, cand{EngineBucket, BucketIOCount(nBlocks, b, m)})
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
-	return cands[0].name
+	// MinFunc returns the first minimal candidate, so ties keep the order
+	// above.
+	return slices.MinFunc(cands, func(x, y cand) int { return cmp.Compare(x.cost, y.cost) }).name
 }
 
 // bitonicRoundTrips estimates Bitonic's vectored round trips by walking

@@ -10,8 +10,11 @@ import (
 // cache-sized runs. The run schedule here is Batcher's odd-even merge
 // network applied at run granularity: by the merge-split theorem (replace
 // each wire of a sorting network with a sorted run of r elements and each
-// comparator with a merge-split, and the network sorts the blocked input),
-// the result is a correct sort with a fixed, data-independent trace.
+// comparator with a merge-split — merge the two runs, keep the low half on
+// the low wire — and the network sorts the blocked input), the result is a
+// correct sort with a fixed, data-independent trace. Both runs of a
+// merge-split are already sorted, so Alice's private work per merge-split
+// is one linear merge, not a sort.
 //
 // With K = ceil(N/(M/4)) runs the external cost is
 // O((N/B)·(1 + log² K)) block I/Os in exactly 2 round trips per
@@ -23,6 +26,9 @@ import (
 // Unlike Bitonic, Zigzag does not require the block size to be a power of
 // two, and it needs no scratch arena: runs past the end of the array are
 // virtual +infinity pads, skipped by ForEachComparator.
+//
+// Private memory: two runs for the merge-split buffer plus one run of merge
+// scratch, at most 3M/4 of the cache.
 
 // Zigzag sorts the array with deterministic data-oblivious merge-split
 // rounds. Requirements: M >= 4B. The address trace depends only on
@@ -50,6 +56,7 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	}
 
 	buf := env.Cache.Buf(2 * cb * b)
+	scratch := env.Cache.Buf(cb * b)
 	idx := make([]int, 2*cb)
 
 	// Round 0: sort each run privately — one vectored read and one vectored
@@ -66,10 +73,10 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 	env.Obs.End(sp0)
 
 	// Merge rounds: each comparator (i, j) of the run-level network becomes
-	// a merge-split — read both runs in one vectored round trip, sort the
-	// concatenation privately (a stable sort of two sorted runs is their
-	// merge), and write the low part back to run i and the high part to
-	// run j.
+	// a merge-split — read both runs in one vectored round trip, merge them
+	// privately (ties to run i, so the result equals a stable sort of the
+	// concatenation), and write the low part back to run i and the high
+	// part to run j.
 	spm := env.Obs.Start("merge-rounds")
 	spm.SetAttrInt("merge-splits", int64(ZigzagMergeSplits(n, b, env.M)))
 	ForEachComparator(k, func(i, j int) {
@@ -81,16 +88,18 @@ func Zigzag(env *extmem.Env, a extmem.Array, less Less) {
 			idx[li+t] = j*cb + t
 		}
 		a.ReadMany(idx[:li+lj], buf[:(li+lj)*b])
-		InCachePar(env, buf[:(li+lj)*b], less)
+		mergeRuns(buf[:(li+lj)*b], li*b, scratch, less)
 		a.WriteMany(idx[:li+lj], buf[:(li+lj)*b])
 	})
 	env.Obs.End(spm)
 
+	env.Cache.Free(scratch)
 	env.Cache.Free(buf)
 }
 
-// zigzagRunBlocks returns the run size in blocks: two runs plus slack must
-// fit in cache, so a run is a quarter of the cache, at least one block.
+// zigzagRunBlocks returns the run size in blocks: a merge-split holds two
+// runs plus one run of merge scratch, 3M/4 of the cache, so a run is a
+// quarter of the cache, at least one block.
 func zigzagRunBlocks(b, m int) int {
 	return max(1, m/(4*b))
 }
